@@ -282,7 +282,9 @@ func (a *Arith) Eval(row types.Row, params []types.Value) types.Value {
 			}
 			return types.NewFloat(x / y)
 		case Mod:
-			if y == 0 {
+			// Modulo truncates both operands to integers; a divisor that
+			// truncates to zero (|y| < 1) is a division by zero.
+			if int64(y) == 0 {
 				return types.Null
 			}
 			return types.NewFloat(float64(int64(x) % int64(y)))

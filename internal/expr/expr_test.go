@@ -99,6 +99,10 @@ func TestArith(t *testing.T) {
 		{Div, intv(7), intv(2), types.NewFloat(3.5)},
 		{Div, intv(7), intv(0), types.Null},
 		{Mod, intv(7), intv(3), intv(1)},
+		{Mod, intv(7), intv(0), types.Null},
+		{Mod, types.NewFloat(7.5), types.NewFloat(2), types.NewFloat(1)},
+		{Mod, types.NewFloat(7.5), types.NewFloat(0.5), types.Null}, // divisor truncates to 0
+		{Mod, intv(7), types.NewFloat(-0.9), types.Null},
 		{Add, types.NewFloat(1.5), intv(1), types.NewFloat(2.5)},
 	}
 	for _, tt := range tests {

@@ -3,6 +3,7 @@ package operators
 import (
 	"testing"
 
+	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/testutil"
 	"shareddb/internal/types"
@@ -262,4 +263,125 @@ func TestSyncedQueueReusesBacking(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("queue push/pop allocates %.2f/run, want 0", allocs)
 	}
+}
+
+// warmCycleAllocs measures one steady-state cycle of node's operator at a
+// worker budget: Start, run (which feeds the cycle its input), Finish, and
+// recycling of everything the cycle emitted and retained. The cycle runs a
+// few times first so free lists, tables, routing scratch and the batch pool
+// reach the input's shape.
+func warmCycleAllocs(node *Node, tasks []Task, workers int, run func(c *Cycle)) float64 {
+	op := node.Op
+	pool := NewBatchPool()
+	node.SetPool(pool)
+	sinkNode := NewNode(1, "sink", &SinkOp{})
+	sinkNode.SetPool(pool)
+	ids := make([]queryset.QueryID, 0, len(tasks))
+	for _, tk := range tasks {
+		ids = append(ids, tk.Query)
+	}
+	all := queryset.Of(ids...)
+	Connect(node, sinkNode).SetQueries(1, all)
+	var em emitter
+	c := &Cycle{}
+	cycle := func() {
+		em.reset(node, 1)
+		*c = Cycle{Gen: 1, Tasks: tasks, Workers: workers, node: node, em: &em, all: all, retained: c.retained[:0]}
+		op.Start(c)
+		run(c)
+		op.Finish(c)
+		c.em.flushEOS()
+		for _, b := range c.retained {
+			b.retained = false
+		}
+		for sinkNode.Inbox().Len() > 0 {
+			if m, ok := sinkNode.Inbox().Pop(); ok && m.Batch != nil {
+				pool.Put(m.Batch)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	return testing.AllocsPerRun(10, cycle)
+}
+
+// parallelFinishInput builds n tuples in full batches on stream: column 0
+// cycles through keys distinct values, column 1 is the tuple's ordinal.
+func parallelFinishInput(stream, n, keys int) []*Batch {
+	var batches []*Batch
+	qs := queryset.Of(1, 2)
+	for i := 0; i < n; i++ {
+		if i%batchSize == 0 {
+			batches = append(batches, &Batch{Stream: stream})
+		}
+		b := batches[len(batches)-1]
+		b.Tuples = append(b.Tuples, Tuple{Row: types.Row{types.NewInt(int64(i % keys)), types.NewInt(int64(i))}, QS: qs})
+	}
+	return batches
+}
+
+// checkParallelFinishAllocs pins the parallel Finish phases at zero
+// allocations per buffered tuple: at each worker budget, quadrupling the
+// input over a fixed key count may add at most a small constant of
+// allocations to a warmed cycle.
+func checkParallelFinishAllocs(t *testing.T, cycleAllocs func(n, workers int) float64) {
+	t.Helper()
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const small, large, slack = 4096, 16384, 8
+	for _, workers := range []int{2, 4} {
+		a, b := cycleAllocs(small, workers), cycleAllocs(large, workers)
+		t.Logf("workers=%d: %.0f allocations per cycle over %d tuples, %.0f over %d", workers, a, small, b, large)
+		if b > a+slack {
+			t.Errorf("workers=%d: a cycle allocates %.0f times over %d tuples but %.0f over %d (%.3f per extra tuple), want the same give or take %d",
+				workers, a, small, b, large, (b-a)/(large-small), slack)
+		}
+	}
+}
+
+// TestGroupParallelFinishZeroAllocPerTuple gates the partitioned
+// aggregation: routing, key extraction, argument evaluation and group
+// creation all run in reusable per-worker scratch.
+func TestGroupParallelFinishZeroAllocPerTuple(t *testing.T) {
+	const groups = 64
+	input := parallelFinishInput(1, 16384, groups)
+	tasks := []Task{{Query: 1, Spec: GroupSpec{}}, {Query: 2, Spec: GroupSpec{}}}
+	checkParallelFinishAllocs(t, func(n, workers int) float64 {
+		op := &GroupOp{
+			Streams: map[int]GroupStream{1: {GroupCols: []int{0}, AggArgs: []expr.Expr{nil, &expr.ColRef{Idx: 1}}}},
+			Aggs:    []AggDef{{Kind: AggCount}, {Kind: AggSum}},
+		}
+		return warmCycleAllocs(NewNode(0, "group", op), tasks, workers, func(c *Cycle) {
+			for _, b := range input[:n/batchSize] {
+				op.Consume(c, b)
+			}
+		})
+	})
+}
+
+// TestJoinParallelBuildZeroAllocPerTuple gates the partitioned join build:
+// routing and shard construction reuse the operator's scratch and tables.
+func TestJoinParallelBuildZeroAllocPerTuple(t *testing.T) {
+	const keys = 64
+	const innerStream, outerStream = 1, 2
+	input := parallelFinishInput(innerStream, 16384, keys)
+	tasks := []Task{{Query: 1, Spec: JoinSpec{}}, {Query: 2, Spec: JoinSpec{}}}
+	checkParallelFinishAllocs(t, func(n, workers int) float64 {
+		op := &HashJoinOp{
+			InnerKeyCols: []int{0},
+			InnerStream:  innerStream,
+			Outers:       map[int]JoinOuter{outerStream: {KeyCols: []int{0}, OutStream: 3}},
+		}
+		node := NewNode(0, "join", op)
+		innerEdge := Connect(NewNode(10, "inner", &SinkOp{}), node)
+		op.SetInnerEdge(innerEdge)
+		return warmCycleAllocs(node, tasks, workers, func(c *Cycle) {
+			for _, b := range input[:n/batchSize] {
+				op.Consume(c, b)
+			}
+			op.EdgeEOS(c, innerEdge)
+		})
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"shareddb/internal/expr"
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -24,8 +23,8 @@ import (
 // Grouping is unboxed: tuples hash into an open-addressed table keyed by a
 // precomputed 64-bit hash of the group key values (collisions verified by
 // value comparison), so the steady-state phase-1 path performs no key
-// encoding and no per-tuple allocation for existing groups. The table and
-// its backing arrays are reused across cycles.
+// encoding and no per-tuple allocation for existing groups. The tables and
+// their backing arrays are reused across cycles.
 type GroupOp struct {
 	Streams   map[int]GroupStream
 	Aggs      []AggDef
@@ -33,25 +32,28 @@ type GroupOp struct {
 
 	// st is the per-cycle state, owned by the operator and reused across
 	// cycles (a node runs one cycle at a time).
-	st          groupState
-	keyScratch  []types.Value
-	stepScratch []addStep
-	single      [1]queryset.QueryID
+	st     groupState
+	single [1]queryset.QueryID
 
-	// entryFree / stateFree recycle a finished cycle's group entries and
-	// per-(group, query) aggregate state slices (refilled in Finish), so the
-	// steady-state rebuild path allocates only for emitted rows once the
-	// free lists have warmed up to the workload's group count.
-	entryFree []*groupEntry
-	stateFree [][]aggState
+	// workers holds one aggregation context per goroutine. workers[0]
+	// serves the serial paths (Consume, the columnar feed, the small-input
+	// fallback, the incremental maintenance scratch); in the parallel
+	// aggregation, combine worker i owns workers[i] for key-hash bucket i.
+	// The cycle's groups live in the contexts' tables and emit in context
+	// order.
+	workers []groupWorker
+
+	// part and batchCfgs are the parallel aggregation's routing scratch:
+	// the partitioned tuple references and each buffered batch's stream
+	// configuration.
+	part      hashPartition
+	batchCfgs []GroupStream
 
 	// columnar aggregation pushdown (Cycle.Col): the reusable scan buffers
 	// and client list for feeding the aggregation straight from the table's
-	// columnar mirror, plus the aggregate-argument scratch shared with the
-	// serial batch path.
+	// columnar mirror.
 	colBufs    storage.ColScanBuffers
 	colClients []storage.ScanClient
-	argScratch []types.Value
 
 	// inc is the persistent NodeState (Config.IncrementalState): the group
 	// table plus a per-group RowID-ordered multiset of contributing rows,
@@ -204,8 +206,22 @@ type groupIncRow struct {
 	qs   queryset.Set
 }
 
+// groupWorker is one goroutine's aggregation context: the group table it
+// fills, scratch for key values, aggregate arguments and update steps, and
+// free lists recycling the group entries and per-(group, query) aggregate
+// state slices it created (refilled in Finish). Nothing in it is shared
+// between goroutines, and once the free lists have warmed up to the
+// workload's group count a cycle allocates only for emitted rows.
+type groupWorker struct {
+	groups    groupTable
+	keys      []types.Value
+	args      []types.Value
+	steps     []addStep
+	entryFree []*groupEntry
+	stateFree [][]aggState
+}
+
 type groupState struct {
-	groups  groupTable
 	having  map[queryset.QueryID]expr.Expr
 	scalar  map[queryset.QueryID]bool
 	emitted map[queryset.QueryID]bool
@@ -216,10 +232,13 @@ type groupState struct {
 	pending []*Batch
 }
 
-// Start initializes the cycle's hash table and per-query HAVING predicates.
+// Start initializes the cycle's hash tables and per-query HAVING predicates.
 func (g *GroupOp) Start(c *Cycle) {
 	st := &g.st
-	st.groups.reset()
+	g.ensureWorkers(1)
+	for i := range g.workers {
+		g.workers[i].groups.reset()
+	}
 	if st.having == nil {
 		st.having = map[queryset.QueryID]expr.Expr{}
 		st.scalar = map[queryset.QueryID]bool{}
@@ -242,7 +261,7 @@ func (g *GroupOp) Start(c *Cycle) {
 		g.startIncremental(c)
 	}
 	if c.Col != nil {
-		g.startColumnar(c, st)
+		g.startColumnar(c)
 	}
 }
 
@@ -253,31 +272,37 @@ func (g *GroupOp) Start(c *Cycle) {
 // worker count) and absorbRow runs serially on this goroutine, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
 // to the row path's serial rebuild.
-func (g *GroupOp) startColumnar(c *Cycle, st *groupState) {
+func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
 	cfg := g.incStream()
 	clients := g.colClients[:0]
 	for _, p := range cc.Preds {
 		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
 	}
-	if cap(g.argScratch) < len(g.Aggs) {
-		g.argScratch = make([]types.Value, len(g.Aggs))
-	}
-	args := g.argScratch[:len(g.Aggs)]
+	w := &g.workers[0]
 	cc.Table.SharedScanColumnar(c.TS, clients, c.Workers, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
-		g.absorbRow(st, cfg, row, qs, args)
+		g.absorbRow(w, &cfg, hashValues(row, cfg.GroupCols), row, qs)
 	})
 	clear(clients)
 	g.colClients = clients[:0]
 }
 
+// ensureWorkers grows the operator's aggregation contexts to at least n and
+// returns the first n.
+func (g *GroupOp) ensureWorkers(n int) []groupWorker {
+	if len(g.workers) < n {
+		g.workers = append(g.workers, make([]groupWorker, n-len(g.workers))...)
+	}
+	return g.workers[:n]
+}
+
 // newEntry takes a group entry from the free list (reusing its key and
 // per-query backing arrays) or allocates one.
-func (g *GroupOp) newEntry(h uint64, keyVals []types.Value) *groupEntry {
-	if n := len(g.entryFree); n > 0 {
-		ge := g.entryFree[n-1]
-		g.entryFree[n-1] = nil
-		g.entryFree = g.entryFree[:n-1]
+func (w *groupWorker) newEntry(h uint64, keyVals []types.Value) *groupEntry {
+	if n := len(w.entryFree); n > 0 {
+		ge := w.entryFree[n-1]
+		w.entryFree[n-1] = nil
+		w.entryFree = w.entryFree[:n-1]
 		ge.hash = h
 		ge.keyVals = append(ge.keyVals[:0], keyVals...)
 		return ge
@@ -285,40 +310,40 @@ func (g *GroupOp) newEntry(h uint64, keyVals []types.Value) *groupEntry {
 	return &groupEntry{hash: h, keyVals: append([]types.Value(nil), keyVals...)}
 }
 
-// newStates takes a cleared aggregate-state slice (len(g.Aggs)) from the
-// free list or allocates one.
-func (g *GroupOp) newStates() []aggState {
-	if n := len(g.stateFree); n > 0 {
-		s := g.stateFree[n-1]
-		g.stateFree[n-1] = nil
-		g.stateFree = g.stateFree[:n-1]
+// newStates takes a cleared aggregate-state slice of length n from the free
+// list or allocates one.
+func (w *groupWorker) newStates(n int) []aggState {
+	if k := len(w.stateFree); k > 0 {
+		s := w.stateFree[k-1]
+		w.stateFree[k-1] = nil
+		w.stateFree = w.stateFree[:k-1]
 		return s
 	}
-	return make([]aggState, len(g.Aggs))
+	return make([]aggState, n)
 }
 
-// recycleGroups returns a drained cycle's rebuilt group entries and their
-// aggregate states to the operator free lists, dropping every value
-// reference so recycled rows are not pinned. Maintained (incremental)
-// entries live in g.inc, never in the cycle table, so everything here is
-// safe to reuse.
-func (g *GroupOp) recycleGroups(st *groupState) {
-	for _, ge := range st.groups.entries {
+// recycle returns a drained cycle's group entries and their aggregate
+// states to the worker's free lists, dropping every value reference so
+// recycled rows are not pinned, and resets the table. Maintained
+// (incremental) entries belong to GroupOp.inc and are never recycled.
+func (w *groupWorker) recycle() {
+	for _, ge := range w.groups.entries {
 		if ge.inc != nil {
 			continue
 		}
 		for q, states := range ge.perQuery {
 			if states != nil {
 				clear(states)
-				g.stateFree = append(g.stateFree, states)
+				w.stateFree = append(w.stateFree, states)
 				ge.perQuery[q] = nil
 			}
 		}
 		ge.perQuery = ge.perQuery[:0]
 		clear(ge.keyVals)
 		ge.keyVals = ge.keyVals[:0]
-		g.entryFree = append(g.entryFree, ge)
+		w.entryFree = append(w.entryFree, ge)
 	}
+	w.groups.reset()
 }
 
 // incStream returns the operator's single input stream configuration (the
@@ -390,8 +415,9 @@ func (g *GroupOp) startIncremental(c *Cycle) {
 // inserts carry table-maximal RowIDs); an out-of-order float value would
 // change accumulation order, so it marks the group for replay instead.
 func (g *GroupOp) incAddRow(cfg GroupStream, rid uint64, row types.Row, qs queryset.Set) {
-	keyVals, h := extractKeyHash(row, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
+	w := &g.workers[0]
+	keyVals, h := extractKeyHash(row, cfg.GroupCols, w.keys)
+	w.keys = keyVals
 	ge := g.inc.lookup(h, keyVals)
 	if ge == nil {
 		ge = &groupEntry{hash: h, keyVals: append([]types.Value(nil), keyVals...), inc: &groupIncRows{}}
@@ -455,8 +481,9 @@ func (g *GroupOp) incApply(ge *groupEntry, args []types.Value, qs queryset.Set) 
 // over non-float values subtract exactly; anything else (MIN/MAX, DISTINCT,
 // float sums) marks the group dirty for replay from the multiset.
 func (g *GroupOp) incRemoveRow(cfg GroupStream, rid uint64, oldRow types.Row) {
-	keyVals, h := extractKeyHash(oldRow, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
+	w := &g.workers[0]
+	keyVals, h := extractKeyHash(oldRow, cfg.GroupCols, w.keys)
+	w.keys = keyVals
 	ge := g.inc.lookup(h, keyVals)
 	if ge == nil || ge.inc == nil {
 		return // row never contributed (e.g. inserted before the state primed a narrower query set)
@@ -543,28 +570,22 @@ func (g *GroupOp) Consume(c *Cycle, b *Batch) {
 	if _, ok := g.Streams[b.Stream]; !ok {
 		return
 	}
-	st := c.opState.(*groupState)
 	if c.Workers > 1 {
+		st := c.opState.(*groupState)
 		c.Retain(b)
 		st.pending = append(st.pending, b)
 		return
 	}
-	g.absorb(st, b)
+	g.absorb(b)
 }
 
 // absorb is the serial aggregation of one batch (the body of ProcessTuple).
-func (g *GroupOp) absorb(st *groupState, b *Batch) {
+func (g *GroupOp) absorb(b *Batch) {
 	cfg := g.Streams[b.Stream]
-	var argVals [8]types.Value // stack buffer for the common agg counts
-	var args []types.Value
-	if len(g.Aggs) > len(argVals) {
-		args = make([]types.Value, len(g.Aggs))
-	} else {
-		args = argVals[:len(g.Aggs)]
-	}
+	w := &g.workers[0]
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
-		g.absorbRow(st, cfg, t.Row, t.QS, args)
+		g.absorbRow(w, &cfg, hashValues(t.Row, cfg.GroupCols), t.Row, t.QS)
 	}
 }
 
@@ -590,14 +611,11 @@ const (
 )
 
 // compileAddSteps lowers one row's evaluated aggregate arguments into the
-// per-agg update plan shared by every query subscribed to the row.
-func (g *GroupOp) compileAddSteps(args []types.Value) []addStep {
-	steps := g.stepScratch
-	if cap(steps) < len(g.Aggs) {
-		steps = make([]addStep, len(g.Aggs))
-		g.stepScratch = steps
-	}
-	steps = steps[:len(g.Aggs)]
+// per-agg update plan shared by every query subscribed to the row, in w's
+// step scratch.
+func (g *GroupOp) compileAddSteps(w *groupWorker, args []types.Value) []addStep {
+	w.steps = resize(w.steps, len(g.Aggs))
+	steps := w.steps
 	for i, def := range g.Aggs {
 		v := args[i]
 		switch {
@@ -621,35 +639,41 @@ func (g *GroupOp) compileAddSteps(args []types.Value) []addStep {
 	return steps
 }
 
-// absorbRow folds one routed row into the cycle's group table — the shared
-// per-tuple body of the serial batch path and the columnar scan feed. args
-// is caller scratch of len(g.Aggs); qs may be borrowed (it is read, never
-// retained).
-func (g *GroupOp) absorbRow(st *groupState, cfg GroupStream, row types.Row, qs queryset.Set, args []types.Value) {
-	keyVals, h := extractKeyHash(row, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
-	ge := st.groups.lookup(h, keyVals)
+// absorbRow folds one routed row, whose group key hashes to h (hashValues
+// over cfg.GroupCols), into w's group table — the per-tuple body shared by
+// the serial batch path, the columnar scan feed and the parallel combine
+// workers. The key is extracted into w's scratch and copied only when it
+// starts a new group; qs may be borrowed (it is read, never retained).
+func (g *GroupOp) absorbRow(w *groupWorker, cfg *GroupStream, h uint64, row types.Row, qs queryset.Set) {
+	keyVals := w.keys[:0]
+	for _, col := range cfg.GroupCols {
+		keyVals = append(keyVals, row[col])
+	}
+	w.keys = keyVals
+	ge := w.groups.lookup(h, keyVals)
 	if ge == nil {
-		ge = g.newEntry(h, keyVals)
-		st.groups.insert(ge)
+		ge = w.newEntry(h, keyVals)
+		w.groups.insert(ge)
 	}
 	// evaluate aggregate arguments once per tuple, shared across
 	// subscribed queries
+	args := w.args[:0]
 	for i := range g.Aggs {
 		if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
-			args[i] = cfg.AggArgs[i].Eval(row, nil)
+			args = append(args, cfg.AggArgs[i].Eval(row, nil))
 		} else {
-			args[i] = types.NewInt(1) // COUNT(*) marker
+			args = append(args, types.NewInt(1)) // COUNT(*) marker
 		}
 	}
-	steps := g.compileAddSteps(args)
+	w.args = args
+	steps := g.compileAddSteps(w, args)
 	for _, qid := range qs.IDs() {
 		for int(qid) >= len(ge.perQuery) {
 			ge.perQuery = append(ge.perQuery, nil)
 		}
 		states := ge.perQuery[qid]
 		if states == nil {
-			states = g.newStates()
+			states = w.newStates(len(g.Aggs))
 			ge.perQuery[qid] = states
 		}
 		for i := range steps {
@@ -673,106 +697,53 @@ func (g *GroupOp) absorbRow(st *groupState, cfg GroupStream, row types.Row, qs q
 
 // aggregateParallel is the data-parallel grouping phase (paper §4.2) run
 // over the batches buffered by Consume when Workers > 1. It is a two-step
-// partitioned hash aggregation with a combine step:
+// partitioned hash aggregation:
 //
-//  1. Partition: the buffered batches are split into contiguous chunks, one
-//     per worker; each worker extracts every tuple's group key and aggregate
-//     arguments once and routes the tuple to one of `workers` key-hash
-//     buckets. Chunks are contiguous, so concatenating a bucket's entries in
-//     chunk order preserves the original tuple arrival order.
+//  1. Partition: hashPartition routes every buffered tuple to one of
+//     `workers` key-hash buckets. This step only hashes each tuple's group
+//     key; a bucket holds references to its tuples, in arrival order.
 //  2. Combine: each bucket is owned by exactly one worker, which replays its
-//     entries (in arrival order) into a private hash table with the same
-//     per-(group, query) aggregate updates as the serial path. Because a
-//     group key hashes to exactly one bucket, the bucket tables are disjoint
-//     and merge into st.groups by plain insertion.
+//     tuples in arrival order into its own context's group table through
+//     absorbRow, the serial path's per-tuple body: the key is extracted and
+//     the aggregate arguments are evaluated into the worker's scratch, and
+//     the key is copied only when it starts a new group. Because a group key
+//     hashes to exactly one bucket, the worker tables are disjoint and
+//     Finish emits them one after another.
 //
 // Keeping per-group arrival order makes the parallel path numerically
 // identical to serial execution (float sums accumulate in the same order),
-// and key-ownership avoids having to merge partial aggregate states — which
+// and key ownership avoids having to merge partial aggregate states — which
 // would be impossible for DISTINCT aggregates without re-shipping values.
+// Neither step allocates per tuple once the operator is warm.
 func (g *GroupOp) aggregateParallel(c *Cycle, st *groupState) {
 	total := 0
 	for _, b := range st.pending {
 		total += len(b.Tuples)
 	}
 	if total < minParallelAggLen {
-		// Small generation: the fork/join and per-tuple entry allocations
-		// cost more than they save — replay serially (identical semantics).
+		// Small generation: the partition passes and fork/joins cost more
+		// than they save — replay serially (identical semantics).
 		for _, b := range st.pending {
-			g.absorb(st, b)
+			g.absorb(b)
 		}
-		clear(st.pending)
-		st.pending = st.pending[:0]
-		return
-	}
-	workers := c.Workers
-	type entry struct {
-		hash    uint64
-		keyVals []types.Value
-		args    []types.Value
-		qs      queryset.Set
-	}
-	chunkBounds := par.Split(len(st.pending), workers)
-	nchunks := len(chunkBounds) - 1
-	buckets := make([][][]entry, nchunks) // [chunk][bucket] → entries
-	c.Pool.Do(workers, nchunks, func(ci int) {
-		bucketed := make([][]entry, workers)
-		for _, b := range st.pending[chunkBounds[ci]:chunkBounds[ci+1]] {
-			cfg, ok := g.Streams[b.Stream]
-			if !ok {
-				continue
+	} else {
+		n := c.Workers
+		cfgs := g.batchCfgs[:0]
+		for _, b := range st.pending {
+			cfgs = append(cfgs, g.Streams[b.Stream])
+		}
+		g.batchCfgs = cfgs
+		g.part.route(c.Pool, n, st.pending, func(bi int, t *Tuple) uint64 {
+			return hashValues(t.Row, cfgs[bi].GroupCols)
+		})
+		workers := g.ensureWorkers(n)
+		c.Pool.Do(n, n, func(bi int) {
+			w := &workers[bi]
+			for _, e := range g.part.bucket(bi) {
+				g.absorbRow(w, &cfgs[e.batch], e.hash, e.t.Row, e.t.QS)
 			}
-			for ti := range b.Tuples {
-				t := &b.Tuples[ti]
-				// nil dst: each buffered entry owns its key values.
-				keyVals, h := extractKeyHash(t.Row, cfg.GroupCols, nil)
-				args := make([]types.Value, len(g.Aggs))
-				for i := range g.Aggs {
-					if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
-						args[i] = cfg.AggArgs[i].Eval(t.Row, nil)
-					} else {
-						args[i] = types.NewInt(1) // COUNT(*) marker
-					}
-				}
-				bi := int(h % uint64(workers))
-				bucketed[bi] = append(bucketed[bi], entry{hash: h, keyVals: keyVals, args: args, qs: t.QS})
-			}
-		}
-		buckets[ci] = bucketed
-	})
-	locals := make([]groupTable, workers)
-	c.Pool.Do(workers, workers, func(bi int) {
-		m := &locals[bi]
-		for ci := 0; ci < nchunks; ci++ {
-			for _, e := range buckets[ci][bi] {
-				ge := m.lookup(e.hash, e.keyVals)
-				if ge == nil {
-					ge = &groupEntry{hash: e.hash, keyVals: e.keyVals}
-					m.insert(ge)
-				}
-				for _, qid := range e.qs.IDs() {
-					for int(qid) >= len(ge.perQuery) {
-						ge.perQuery = append(ge.perQuery, nil)
-					}
-					states := ge.perQuery[qid]
-					if states == nil {
-						states = make([]aggState, len(g.Aggs))
-						ge.perQuery[qid] = states
-					}
-					for i, def := range g.Aggs {
-						states[i].add(e.args[i], def)
-					}
-				}
-			}
-		}
-	})
-	// Buckets are hash-disjoint (a key lives in exactly one), so the local
-	// tables merge into the cycle table by plain insertion, bucket order —
-	// deterministic because bucket assignment and entry order are.
-	for bi := range locals {
-		for _, ge := range locals[bi].entries {
-			st.groups.insert(ge)
-		}
+		})
+		g.part.release()
 	}
 	clear(st.pending)
 	st.pending = st.pending[:0]
@@ -791,8 +762,10 @@ func (g *GroupOp) Finish(c *Cycle) {
 	if g.incActive {
 		g.emitIncremental(c, st)
 	}
-	for _, ge := range st.groups.entries {
-		g.emitGroup(c, st, ge, nil)
+	for i := range g.workers {
+		for _, ge := range g.workers[i].groups.entries {
+			g.emitGroup(c, st, ge, nil)
+		}
 	}
 	// scalar aggregates over empty input produce one row of defaults
 	for qid, isScalar := range st.scalar {
@@ -810,8 +783,9 @@ func (g *GroupOp) Finish(c *Cycle) {
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}
-	g.recycleGroups(st)
-	st.groups.reset() // drop group state references between cycles
+	for i := range g.workers {
+		g.workers[i].recycle() // drops group state references between cycles
+	}
 	c.opState = nil
 	g.incActive = false
 }

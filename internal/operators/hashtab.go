@@ -42,7 +42,7 @@ func hashValues(row types.Row, cols []int) uint64 {
 
 // extractKeyHash copies row's key columns into dst (reused if it has
 // capacity) and returns them with their hashValues-identical hash — the
-// one-pass extract+hash used by both the serial and the parallel group-by.
+// one-pass extract+hash of the group-by's incremental maintenance.
 func extractKeyHash(row types.Row, cols []int, dst []types.Value) ([]types.Value, uint64) {
 	if cap(dst) < len(cols) {
 		dst = make([]types.Value, len(cols))

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"shareddb/internal/expr"
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -55,10 +54,12 @@ type HashJoinOp struct {
 
 	// parallel build state (Workers > 1): inner batches are buffered as they
 	// stream in and the hash table is built in parallel at inner EOS, as
-	// key-hash shards so probes stay lock-free lookups.
+	// key-hash shards so probes stay lock-free lookups. part is the build's
+	// reusable routing scratch.
 	innerPending []*Batch
 	buildShards  []joinTable
 	shardsActive bool
+	part         hashPartition
 
 	qsScratch []queryset.QueryID // probe intersection scratch
 	single    [1]queryset.QueryID
@@ -203,12 +204,14 @@ func (j *HashJoinOp) EdgeEOS(c *Cycle, e *Edge) {
 
 // buildParallel turns the buffered inner batches into key-hash shards, in
 // parallel (the parallel join build of paper §4.2). Like the group-by's
-// partitioned aggregation, it is a two-step partition/build: workers first
-// hash keys over contiguous chunks of the buffered batches and route
-// tuples to their key-hash shard; then each shard is built by a single
-// worker, appending tuples in chunk order — so every key's match list holds
-// tuples in the same arrival order the serial build produces, and probe
-// emission order is unchanged. No-op when nothing was buffered.
+// partitioned aggregation, it is a two-step partition/build: hashPartition
+// hashes every buffered tuple's key once and routes a reference to its
+// key-hash shard, in arrival order; then each shard is built by a single
+// worker, inserting its tuples in that order — so every key's match list
+// holds tuples in the same arrival order the serial build produces, and
+// probe emission order is unchanged. Once the shards' tables and the routing
+// scratch are warm, neither step allocates per tuple. No-op when nothing
+// was buffered.
 func (j *HashJoinOp) buildParallel(c *Cycle) {
 	if len(j.innerPending) == 0 {
 		return
@@ -229,23 +232,8 @@ func (j *HashJoinOp) buildParallel(c *Cycle) {
 		return
 	}
 	workers := c.Workers
-	type entry struct {
-		h uint64
-		t Tuple
-	}
-	chunkBounds := par.Split(len(j.innerPending), workers)
-	nchunks := len(chunkBounds) - 1
-	routed := make([][][]entry, nchunks) // [chunk][shard] → entries
-	c.Pool.Do(workers, nchunks, func(ci int) {
-		shards := make([][]entry, workers)
-		for _, b := range j.innerPending[chunkBounds[ci]:chunkBounds[ci+1]] {
-			for _, t := range b.Tuples {
-				h := hashValues(t.Row, j.InnerKeyCols)
-				s := int(h % uint64(workers))
-				shards[s] = append(shards[s], entry{h: h, t: t})
-			}
-		}
-		routed[ci] = shards
+	j.part.route(c.Pool, workers, j.innerPending, func(_ int, t *Tuple) uint64 {
+		return hashValues(t.Row, j.InnerKeyCols)
 	})
 	// Size the shard slice to exactly `workers`: probes select a shard by
 	// h % len(buildShards), which must be the same modulus the routing
@@ -259,12 +247,11 @@ func (j *HashJoinOp) buildParallel(c *Cycle) {
 	shards := j.buildShards
 	c.Pool.Do(workers, workers, func(si int) {
 		shards[si].reset(j.InnerKeyCols)
-		for ci := 0; ci < nchunks; ci++ {
-			for _, e := range routed[ci][si] {
-				shards[si].insert(e.h, e.t)
-			}
+		for _, e := range j.part.bucket(si) {
+			shards[si].insert(e.hash, *e.t)
 		}
 	})
+	j.part.release()
 	j.shardsActive = true
 	j.innerPending = j.innerPending[:0]
 }

@@ -196,63 +196,140 @@ func TestSortFinishParallelMatchesSerial(t *testing.T) {
 }
 
 func TestGroupFinishParallelMatchesSerial(t *testing.T) {
+	lowerParallelAggThreshold(t)
 	r := rand.New(rand.NewSource(13))
-	op := func() *GroupOp {
-		return &GroupOp{
-			Streams: map[int]GroupStream{
-				1: {GroupCols: []int{0}, AggArgs: []expr.Expr{nil, &expr.ColRef{Idx: 1}, &expr.ColRef{Idx: 2}, &expr.ColRef{Idx: 1}, &expr.ColRef{Idx: 1}}},
-			},
-			Aggs: []AggDef{
-				{Kind: AggCount},
-				{Kind: AggSum},
-				{Kind: AggAvg}, // float inputs: parallel must keep accumulation order
-				{Kind: AggMin},
-				{Kind: AggMax},
-			},
-			OutStream: 2,
+	col := func(i int) expr.Expr { return &expr.ColRef{Idx: i} }
+	randQS := func() queryset.Set {
+		switch r.Intn(3) {
+		case 0:
+			return queryset.Of(1, 2, 3)
+		case 1:
+			return queryset.Of(queryset.QueryID(1 + r.Intn(3)))
+		default:
+			return queryset.Of(1, 3)
 		}
+	}
+	maybeNull := func(v types.Value) types.Value {
+		if r.Intn(8) == 0 {
+			return types.Null
+		}
+		return v
+	}
+	// mkBatches builds nb batches of n tuples on stream from row(i).
+	mkBatches := func(stream, nb, n int, row func() types.Row) []*Batch {
+		var batches []*Batch
+		for b := 0; b < nb; b++ {
+			batch := &Batch{Stream: stream}
+			for i := 0; i < n; i++ {
+				batch.Tuples = append(batch.Tuples, Tuple{Row: row(), QS: randQS()})
+			}
+			batches = append(batches, batch)
+		}
+		return batches
+	}
+	// interleave alternates the batches of two streams.
+	interleave := func(a, b []*Batch) []*Batch {
+		var out []*Batch
+		for i := range a {
+			out = append(out, a[i], b[i])
+		}
+		return out
+	}
+	groupRow := func() types.Row { // (group, int value, float value)
+		return types.Row{types.NewInt(int64(r.Intn(30))), maybeNull(types.NewInt(int64(r.Intn(50)))), types.NewFloat(r.Float64())}
 	}
 	tasks := []Task{
 		{Query: 1, Spec: GroupSpec{}},
 		{Query: 2, Spec: GroupSpec{}},
-		{Query: 3, Spec: GroupSpec{Having: &expr.Cmp{Op: expr.GT, L: &expr.ColRef{Idx: 1}, R: &expr.Const{Val: types.NewInt(5)}}}},
+		{Query: 3, Spec: GroupSpec{Having: &expr.Cmp{Op: expr.GT, L: col(1), R: &expr.Const{Val: types.NewInt(5)}}}},
 	}
-	var batches []*Batch
-	for b := 0; b < 9; b++ {
-		batch := &Batch{Stream: 1}
-		for i := 0; i < 500; i++ {
-			var qs queryset.Set
-			switch r.Intn(3) {
-			case 0:
-				qs = queryset.Of(1, 2, 3)
-			case 1:
-				qs = queryset.Of(queryset.QueryID(1 + r.Intn(3)))
-			default:
-				qs = queryset.Of(1, 3)
-			}
-			v := types.Null
-			if r.Intn(8) != 0 {
-				v = types.NewInt(int64(r.Intn(50)))
-			}
-			batch.Tuples = append(batch.Tuples, Tuple{
-				Row: types.Row{types.NewInt(int64(r.Intn(30))), v, types.NewFloat(r.Float64())},
-				QS:  qs,
-			})
+	scalarTasks := []Task{
+		{Query: 1, Spec: GroupSpec{Scalar: true}},
+		{Query: 2, Spec: GroupSpec{Scalar: true}},
+		{Query: 3, Spec: GroupSpec{Scalar: true}},
+	}
+	cases := []struct {
+		name    string
+		op      GroupOp
+		tasks   []Task
+		batches []*Batch
+	}{
+		{
+			name: "grouped",
+			op: GroupOp{
+				Streams: map[int]GroupStream{1: {GroupCols: []int{0}, AggArgs: []expr.Expr{nil, col(1), col(2), col(1), col(1)}}},
+				Aggs: []AggDef{
+					{Kind: AggCount},
+					{Kind: AggSum},
+					{Kind: AggAvg}, // float inputs: parallel must keep accumulation order
+					{Kind: AggMin},
+					{Kind: AggMax},
+				},
+			},
+			tasks:   tasks,
+			batches: mkBatches(1, 9, 500, groupRow),
+		},
+		{
+			// No group columns: every tuple lands in one bucket, so one
+			// combine worker aggregates the whole input.
+			name: "scalar",
+			op: GroupOp{
+				Streams: map[int]GroupStream{1: {AggArgs: []expr.Expr{col(1), nil}}},
+				Aggs:    []AggDef{{Kind: AggMax}, {Kind: AggCount}},
+			},
+			tasks:   scalarTasks,
+			batches: mkBatches(1, 5, 700, groupRow),
+		},
+		{
+			// Two streams whose schemas differ: stream 2 carries
+			// (float value, int value, group), so each routed tuple must be
+			// aggregated with its own batch's configuration.
+			name: "two streams",
+			op: GroupOp{
+				Streams: map[int]GroupStream{
+					1: {GroupCols: []int{0}, AggArgs: []expr.Expr{nil, col(2), col(1)}},
+					2: {GroupCols: []int{2}, AggArgs: []expr.Expr{nil, col(0), col(1)}},
+				},
+				Aggs: []AggDef{{Kind: AggCount}, {Kind: AggSum}, {Kind: AggMin}},
+			},
+			tasks: tasks,
+			batches: interleave(mkBatches(1, 4, 600, groupRow), mkBatches(2, 4, 600, func() types.Row {
+				g := groupRow()
+				return types.Row{g[2], g[1], g[0]}
+			})),
+		},
+		{
+			name: "distinct and float sum",
+			op: GroupOp{
+				Streams: map[int]GroupStream{1: {GroupCols: []int{0}, AggArgs: []expr.Expr{col(1), col(2), col(1)}}},
+				Aggs:    []AggDef{{Kind: AggCount, Distinct: true}, {Kind: AggSum}, {Kind: AggSum, Distinct: true}},
+			},
+			tasks:   tasks,
+			batches: mkBatches(1, 6, 500, groupRow),
+		},
+	}
+	for _, tc := range cases {
+		op := func() *GroupOp {
+			g := tc.op
+			g.OutStream = 9
+			return &g
 		}
-		batches = append(batches, batch)
-	}
-	feed := func(c *Cycle) {
-		for _, b := range batches {
-			c.node.Op.Consume(c, b)
+		feed := func(c *Cycle) {
+			for _, b := range tc.batches {
+				c.node.Op.Consume(c, b)
+			}
 		}
-	}
-	serial := driveOp(op(), tasks, 1, feed)
-	for _, workers := range []int{2, 4, 7} {
-		parallel := driveOp(op(), tasks, workers, feed)
-		// group emission order is hash-map order in both regimes: compare as
-		// multisets. Rows embed float sums, so identical bytes also prove the
-		// accumulation order was preserved.
-		compareMultiset(t, fmt.Sprintf("group workers=%d", workers), serial, parallel)
+		serial := driveOp(op(), tc.tasks, 1, feed)
+		if len(serial) != len(tc.tasks) {
+			t.Fatalf("%s: serial run answered %d of %d queries", tc.name, len(serial), len(tc.tasks))
+		}
+		for _, workers := range []int{2, 4, 7} {
+			parallel := driveOp(op(), tc.tasks, workers, feed)
+			// group emission order is bucket order in parallel: compare as
+			// multisets. Rows embed float sums, so identical bytes also prove
+			// the accumulation order was preserved.
+			compareMultiset(t, fmt.Sprintf("%s workers=%d", tc.name, workers), serial, parallel)
+		}
 	}
 }
 

@@ -26,19 +26,16 @@ import (
 func (t *Table) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid RowID, row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var seen map[RowID]bool
+	var seen seenRows
 	ix.tree.SeekEQ(key, func(rid uint64) bool {
-		if seen[rid] {
+		if seen.has(rid) {
 			return true
 		}
 		row, visible := t.visibleLocked(rid, ts)
 		if !visible || !indexKeyMatches(ix, row, key) {
 			return true
 		}
-		if seen == nil {
-			seen = map[RowID]bool{}
-		}
-		seen[rid] = true
+		seen.add(rid)
 		return fn(rid, row)
 	})
 }
@@ -49,9 +46,9 @@ func (t *Table) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid Row
 func (t *Table) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts uint64, fn func(rid RowID, row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var seen map[RowID]bool
+	var seen seenRows
 	ix.tree.Scan(lo, hi, loIncl, hiIncl, func(key btree.Key, rid uint64) bool {
-		if seen[rid] {
+		if seen.has(rid) {
 			return true
 		}
 		row, visible := t.visibleLocked(rid, ts)
@@ -60,12 +57,48 @@ func (t *Table) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts
 			// visible version's key will handle this rid.
 			return true
 		}
-		if seen == nil {
-			seen = map[RowID]bool{}
-		}
-		seen[rid] = true
+		seen.add(rid)
 		return fn(rid, row)
 	})
+}
+
+// seenRows is the distinct-row filter of one index traversal: entries of
+// superseded versions linger in the tree until GC, so a traversal can meet
+// one RowID several times. Most traversals yield a handful of rows, checked
+// linearly in a fixed array that lives on the caller's stack; past its
+// capacity the set moves to a map, so large traversals stay O(n).
+type seenRows struct {
+	few  [8]RowID
+	n    int
+	many map[RowID]struct{}
+}
+
+func (s *seenRows) has(rid RowID) bool {
+	if s.many != nil {
+		_, ok := s.many[rid]
+		return ok
+	}
+	for _, r := range s.few[:s.n] {
+		if r == rid {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *seenRows) add(rid RowID) {
+	if s.many == nil {
+		if s.n < len(s.few) {
+			s.few[s.n] = rid
+			s.n++
+			return
+		}
+		s.many = make(map[RowID]struct{}, 2*len(s.few))
+		for _, r := range s.few {
+			s.many[r] = struct{}{}
+		}
+	}
+	s.many[rid] = struct{}{}
 }
 
 // indexKeyMatches reports whether row carries key under ix (prefix

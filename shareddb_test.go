@@ -681,3 +681,40 @@ func TestSubscribePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFloatModuloByFractionalDivisor runs a float modulo whose divisor
+// truncates to zero through the whole engine: it must evaluate to NULL (as
+// division by zero does) instead of crashing the process.
+func TestFloatModuloByFractionalDivisor(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, q := range []string{
+		`CREATE TABLE kv (k INT, v FLOAT, PRIMARY KEY (k))`,
+		`INSERT INTO kv VALUES (1, 2.5)`,
+		`INSERT INTO kv VALUES (2, 3.0)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("Exec(%q): %v", q, err)
+		}
+	}
+	count := func(q string) int {
+		t.Helper()
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("Query(%q): %v", q, err)
+		}
+		return rows.Len()
+	}
+	if n := count(`SELECT k FROM kv WHERE v % 0.5 = 0`); n != 0 {
+		t.Errorf("v %% 0.5 = 0 matched %d rows, want 0 (NULL never equals)", n)
+	}
+	if n := count(`SELECT k FROM kv WHERE v % 0.5 IS NULL`); n != 2 {
+		t.Errorf("v %% 0.5 IS NULL matched %d rows, want 2", n)
+	}
+	if n := count(`SELECT k FROM kv WHERE v % 2 = 1`); n != 1 {
+		t.Errorf("v %% 2 = 1 matched %d rows, want 1", n)
+	}
+}
